@@ -1,7 +1,6 @@
-//! Process-level failure tests of the CLI: exit codes, diverging-resume
-//! diagnostics, and the headline crash drill — a two-process co-executed
-//! sweep whose joiner is killed mid-shard by an injected abort, recovered
-//! through stale-lease re-claim to byte-identical output.
+//! Process-level failure tests of the CLI: exit codes and diverging-resume
+//! diagnostics. The worker-crash drill lives with the fleet tests in
+//! `dist.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -163,134 +162,5 @@ fn resume_names_each_diverging_checkpoint_field() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("spec fingerprint"), "{stderr}");
     assert!(stderr.contains("total points"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The headline drill from the issue: two processes co-execute one sweep,
-/// one worker is killed mid-shard by a seeded fault plan, the survivor
-/// re-claims the stale lease, and the merged output is byte-identical to a
-/// serial unfaulted run with zero duplicate records.
-#[test]
-fn a_worker_killed_mid_shard_is_recovered_byte_identically() {
-    let dir = scratch_dir("crash");
-    let spec = write_spec(&dir, &small_spec("crash"));
-
-    // Serial unfaulted golden.
-    let golden_path = dir.join("golden.jsonl");
-    let out = run(&[
-        "sweep",
-        "--spec",
-        spec.to_str().unwrap(),
-        "--jsonl",
-        golden_path.to_str().unwrap(),
-        "--chunk-size",
-        "3",
-        "--quiet",
-    ]);
-    assert_eq!(exit_code(&out), 0, "golden sweep runs: {out:?}");
-    let golden = std::fs::read_to_string(&golden_path).expect("golden reads");
-
-    // The joiner's fault plan: abort the process at its fourth durability op,
-    // i.e. mid-shard, after some cache writes went through.
-    let plan = dir.join("abort.json");
-    std::fs::write(
-        &plan,
-        "{\"seed\":7,\"transient_error_rate\":0.0,\"faults\":[{\"op\":3,\"kind\":\"Abort\"}]}",
-    )
-    .expect("plan writes");
-
-    let lease_dir = dir.join("leases");
-    let merged = dir.join("merged.jsonl");
-    let mut joiner = std::process::Command::new(BIN)
-        .args([
-            "join",
-            "--spec",
-            spec.to_str().unwrap(),
-            "--lease-dir",
-            lease_dir.to_str().unwrap(),
-            "--cache",
-            dir.join("joiner-cache").to_str().unwrap(),
-            "--fault-plan",
-            plan.to_str().unwrap(),
-            "--quiet",
-        ])
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("joiner spawns");
-    let out = run(&[
-        "sweep",
-        "--spec",
-        spec.to_str().unwrap(),
-        "--jsonl",
-        merged.to_str().unwrap(),
-        "--chunk-size",
-        "3",
-        "--keep-going",
-        "--lease-dir",
-        lease_dir.to_str().unwrap(),
-        "--lease-timeout",
-        "400",
-        "--quiet",
-    ]);
-    let joiner = joiner.wait().expect("joiner waits");
-    assert!(
-        !joiner.success(),
-        "the fault plan must have killed the joiner"
-    );
-    assert_eq!(exit_code(&out), 0, "the primary recovers and exits clean");
-
-    let merged_text = std::fs::read_to_string(&merged).expect("merged reads");
-    assert_eq!(
-        merged_text, golden,
-        "recovered co-execution must be byte-identical to the serial run"
-    );
-    let mut lines: Vec<&str> = merged_text.lines().collect();
-    let emitted = lines.len();
-    lines.sort_unstable();
-    lines.dedup();
-    assert_eq!(lines.len(), emitted, "no record may be emitted twice");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_lease_directory_serving_another_sweep_is_rejected() {
-    let dir = scratch_dir("lease-diverge");
-    let spec = write_spec(&dir, &small_spec("first"));
-    let lease_dir = dir.join("leases");
-    let out = run(&[
-        "sweep",
-        "--spec",
-        spec.to_str().unwrap(),
-        "--jsonl",
-        dir.join("first.jsonl").to_str().unwrap(),
-        "--chunk-size",
-        "4",
-        "--keep-going",
-        "--lease-dir",
-        lease_dir.to_str().unwrap(),
-        "--quiet",
-    ]);
-    assert_eq!(exit_code(&out), 0, "first co-execution runs: {out:?}");
-
-    let other = write_spec(&dir, &small_spec("first").with_bitwidth(vec![4, 6, 8]));
-    let out = run(&[
-        "sweep",
-        "--spec",
-        other.to_str().unwrap(),
-        "--jsonl",
-        dir.join("second.jsonl").to_str().unwrap(),
-        "--chunk-size",
-        "4",
-        "--keep-going",
-        "--lease-dir",
-        lease_dir.to_str().unwrap(),
-        "--quiet",
-    ]);
-    assert_eq!(exit_code(&out), 1);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("diverging"),
-        "the manifest mismatch must name the diverging fields: {stderr}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,35 +1,27 @@
 //! The shard-dispatch seam: one merge loop, many ways to compute a shard.
 //!
-//! Both co-execution (`sweep --lease-dir`, shards computed by processes on
-//! one filesystem) and distributed sweeps (`sweep --workers`, shards computed
-//! by socket-fed worker daemons) reduce to the same shape: shards are
-//! produced *somewhere*, each as a shard-local [`ShardCheckpoint`] meta plus
-//! its records, and a single primary merges them — strictly in expansion
-//! order — into the session's sink, checkpointing as it goes. This module
-//! owns that shape:
+//! A distributed sweep (`sweep --workers`, shards computed by socket-fed
+//! worker daemons) has this shape: shards are produced *somewhere*, each as
+//! a shard-local [`ShardCheckpoint`] meta plus its records, and a single
+//! primary merges them — strictly in expansion order — into the session's
+//! sink, checkpointing as it goes. This module owns that shape:
 //!
 //! * [`compute_shard_part`] — computes one shard into a [`ComputedPart`]:
 //!   the meta line, the pre-rendered record body (the exact bytes a
 //!   [`JsonlSink`](crate::JsonlSink) would write — fresh records reuse the
-//!   JSON already rendered for their cache entry), and the parsed records.
-//!   The lease ledger publishes the body as a part file; a worker daemon
-//!   streams the same bytes over a socket. One function, one wire format.
+//!   JSON already rendered for their cache entry). A worker daemon streams
+//!   these bytes over a socket.
 //! * [`ShardSource`] — where merged shards come from: a blocking
 //!   `next_part(shard)` that returns shard `shard`'s meta and records once
-//!   they exist. The lease ledger implements it by claiming/computing/
-//!   polling; a worker fleet implements it by collecting socket responses.
+//!   they exist. A worker fleet implements it by collecting socket
+//!   responses.
 //! * [`merge_shard_source`] — the shared primary loop: checkpoint-replay of
 //!   already-recorded shards, then `next_part` per remaining shard, sink
 //!   emission and flush, checkpoint append (cumulative `emitted`), progress
 //!   reporting. Byte-identical output to a single-process run at any worker
 //!   count, because every path feeds it the same deterministic bytes.
-//! * [`AdaptiveBackoff`] — the idle-wait policy for pollers: tight
-//!   (microseconds) while work is landing, doubling toward a configured cap
-//!   while idle, so a primary notices a freshly-published part in
-//!   microseconds without spinning when the fleet is quiet.
 
 use std::ops::Range;
-use std::time::Duration;
 
 use crate::cache::{CacheBackend, CacheStats};
 use crate::checkpoint::{Checkpoint, ShardCheckpoint};
@@ -43,68 +35,13 @@ use crate::runner::{
 use crate::sink::RecordSink;
 use crate::spec::SweepSpec;
 
-/// Exponentially-backed-off idle waiting for shard pollers.
+/// One computed shard in the shard wire format: the shard-local meta and the
+/// pre-rendered record body.
 ///
-/// Fixed-interval polling forces a trade-off: a short interval spins, a long
-/// one adds up to the interval of latency to *every* shard hand-off, which
-/// is exactly the coordination overhead that made co-execution slower than
-/// the in-process pipeline. This backoff starts at tens of microseconds
-/// (shards usually land back-to-back while a fleet drains a sweep) and
-/// doubles toward the configured cap while nothing happens; any progress
-/// [`reset`](Self::reset)s it to the floor. The cap keeps the old `poll_ms`
-/// semantics: a waiter never sleeps longer than the configured interval.
-#[derive(Debug, Clone)]
-pub struct AdaptiveBackoff {
-    base: Duration,
-    cap: Duration,
-    next: Duration,
-}
-
-/// The backoff floor: long enough to yield the CPU meaningfully, short
-/// enough that a part published mid-wait is noticed almost immediately.
-const BACKOFF_FLOOR: Duration = Duration::from_micros(50);
-
-impl AdaptiveBackoff {
-    /// A backoff sleeping between ~50 µs and `cap_ms` milliseconds.
-    pub fn new(cap_ms: u64) -> Self {
-        let cap = Duration::from_millis(cap_ms.max(1));
-        let base = cap.min(BACKOFF_FLOOR);
-        Self {
-            base,
-            cap,
-            next: base,
-        }
-    }
-
-    /// Snaps the next wait back to the floor — call on any sign of progress.
-    pub fn reset(&mut self) {
-        self.next = self.base;
-    }
-
-    /// The wait [`wait`](Self::wait) would sleep next, advancing the
-    /// schedule (each delay doubles, clamped to the cap). Exposed so tests
-    /// can assert the schedule without sleeping.
-    pub fn next_delay(&mut self) -> Duration {
-        let delay = self.next;
-        self.next = (self.next * 2).min(self.cap);
-        delay
-    }
-
-    /// Sleeps the current delay and doubles the next one (up to the cap).
-    pub fn wait(&mut self) {
-        std::thread::sleep(self.next_delay());
-    }
-}
-
-/// One computed shard in the co-execution wire format: the shard-local meta,
-/// the pre-rendered record body, and the records themselves.
-///
-/// `body` is the part-file payload minus its meta line: one compact JSON
+/// `body` is the payload that follows the meta line: one compact JSON
 /// document per record, each `\n`-terminated — byte-identical to what a
 /// [`JsonlSink`](crate::JsonlSink) writes for the same records, because
 /// fresh records reuse the JSON already rendered for their cache entry.
-/// `records` holds the same data parsed, so a primary that computed a shard
-/// itself can merge it without re-reading (or re-parsing) its own bytes.
 #[derive(Debug, Clone)]
 pub struct ComputedPart {
     /// Shard metadata with *shard-local* `emitted` (the merge loop
@@ -113,18 +50,15 @@ pub struct ComputedPart {
     /// The record lines: `meta.emitted` compact JSON documents, each ending
     /// in `\n`.
     pub body: String,
-    /// The same records, parsed, in expansion order.
-    pub records: Vec<SweepRecord>,
 }
 
-/// Computes one shard into its co-execution part form: cache writes (under
+/// Computes one shard into its part form: cache writes (under
 /// `retry`, degrading on exhaustion rather than failing — shard producers
-/// always run under `KeepGoing`), then the rendered body and records.
+/// always run under `KeepGoing`), then the rendered body.
 ///
-/// This is the single compute path behind `sweep --lease-dir` workers,
-/// `join`, and `worker` daemons answering `compute-shard` requests: all of
-/// them produce identical bytes for a given `(spec, shard range)` because
-/// they all run this function.
+/// This is the single compute path behind `worker` daemons answering
+/// `compute-shard` requests: every worker produces identical bytes for a
+/// given `(spec, shard range)` because they all run this function.
 ///
 /// # Errors
 ///
@@ -157,37 +91,32 @@ pub fn compute_shard_part(
         }
     }
     let mut body = String::new();
-    let mut records = Vec::new();
-    for prepared in computed.slots.into_iter().flatten() {
+    let mut emitted = 0;
+    for prepared in computed.slots.iter().flatten() {
         match &prepared.cache_entry {
             Some((_, json)) => body.push_str(json),
             None => body.push_str(&serde_json::to_string(&prepared.record)?),
         }
         body.push('\n');
-        records.push(prepared.record);
+        emitted += 1;
     }
     let meta = ShardCheckpoint {
         shard,
         points: computed.points,
         hits: computed.hits,
         misses: computed.points - computed.hits,
-        emitted: records.len(),
+        emitted,
         failures: computed.checkpoint_failures,
         cache_degraded,
     };
-    Ok(ComputedPart {
-        meta,
-        body,
-        records,
-    })
+    Ok(ComputedPart { meta, body })
 }
 
 /// Where a merging primary gets computed shards from.
 ///
 /// Implementations block until the requested shard's part exists — by
-/// claiming and computing shards themselves (the lease ledger), by waiting
-/// for socket-fed workers (the distributed coordinator), or anything else
-/// that eventually produces every shard. The merge loop asks for shards
+/// waiting for socket-fed workers (the distributed coordinator), or anything
+/// else that eventually produces every shard. The merge loop asks for shards
 /// strictly in order, each exactly once.
 pub trait ShardSource {
     /// Blocks until shard `shard` is complete, returning its shard-local
@@ -350,37 +279,8 @@ mod tests {
     use super::*;
     use crate::sink::VecSink;
 
-    #[test]
-    fn backoff_doubles_to_the_cap_and_resets() {
-        let mut backoff = AdaptiveBackoff::new(2);
-        let mut delays = Vec::new();
-        for _ in 0..10 {
-            delays.push(backoff.next_delay());
-        }
-        assert_eq!(delays[0], Duration::from_micros(50), "starts at the floor");
-        for pair in delays.windows(2) {
-            assert!(pair[1] >= pair[0], "delays never shrink without a reset");
-            assert!(pair[1] <= Duration::from_millis(2), "cap is respected");
-        }
-        assert_eq!(*delays.last().unwrap(), Duration::from_millis(2));
-        backoff.reset();
-        assert_eq!(backoff.next_delay(), Duration::from_micros(50));
-    }
-
-    #[test]
-    fn backoff_cap_below_the_floor_stays_at_the_cap() {
-        // poll_ms(1) clamps everything to 1 ms worth of schedule; the floor
-        // shrinks to the cap rather than exceeding it.
-        let mut backoff = AdaptiveBackoff::new(1);
-        let first = backoff.next_delay();
-        assert!(first <= Duration::from_millis(1));
-        for _ in 0..8 {
-            assert!(backoff.next_delay() <= Duration::from_millis(1));
-        }
-    }
-
-    /// A source that serves pre-baked parts, recording the order they were
-    /// asked for.
+    /// A source that serves pre-baked parts, parsed the way the fleet parses
+    /// a worker's record lines, recording the order they were asked for.
     struct BakedSource {
         parts: Vec<ComputedPart>,
         asked: Vec<usize>,
@@ -389,9 +289,15 @@ mod tests {
     impl ShardSource for BakedSource {
         fn next_part(&mut self, shard: usize) -> Result<(ShardCheckpoint, Vec<SweepRecord>)> {
             self.asked.push(shard);
-            let part = self.parts[shard].clone();
-            Ok((part.meta, part.records))
+            let part = &self.parts[shard];
+            Ok((part.meta.clone(), parse_body(&part.body)))
         }
+    }
+
+    fn parse_body(body: &str) -> Vec<SweepRecord> {
+        body.lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect()
     }
 
     #[test]
@@ -413,8 +319,7 @@ mod tests {
             .collect();
         // The part body is the exact JSONL rendering of its records.
         for part in &parts {
-            let rendered: String = part
-                .records
+            let rendered: String = parse_body(&part.body)
                 .iter()
                 .map(|r| serde_json::to_string(r).unwrap() + "\n")
                 .collect();

@@ -4,10 +4,10 @@
 //! per-operation transient-error rate, and a list of faults pinned to exact
 //! *operation indices*. Wrapping a [`CacheBackend`] in a [`FaultyCache`] and a
 //! [`RecordSink`] in a [`FaultySink`] makes the plan fire as the sweep's
-//! durability chain executes — the chaos harness the lease protocol, the
-//! retry policy and the checkpoint invariant are tested against (and the
-//! engine behind the CLI's `--fault-plan` flag, used by the chaos smoke
-//! tests).
+//! durability chain executes — the chaos harness the worker fleet's crash
+//! recovery, the retry policy and the checkpoint invariant are tested
+//! against (and the engine behind the CLI's `--fault-plan` flag, used by the
+//! chaos smoke tests).
 //!
 //! **What counts as an operation.** Only the *sequential* write side is
 //! counted, one shared counter across both wrappers: cache `put` /

@@ -42,12 +42,17 @@
 //!   three-objective case in O(n log² n) via a divide-and-conquer sweep, so
 //!   frontiers scale to streamed JSONL outputs with millions of records;
 //!   records carrying NaN/infinite objectives are rejected instead of
-//!   silently joining every frontier.
+//!   silently joining every frontier;
+//! * [`merge_shard_source`] — the merge loop behind distributed sweeps:
+//!   shards computed elsewhere (by `simphony-serve` worker daemons through
+//!   [`compute_shard_part`]) are pulled from a [`ShardSource`] and merged in
+//!   expansion order, byte-identical to a local run.
 //!
 //! The `simphony-cli` binary exposes all of this as `sweep` (with
 //! `--chunk-size`, `--jsonl`, `--keep-going`, `--backend`, `--checkpoint`,
-//! `--no-pipeline`), `resume`, `cache stats`/`cache migrate`, `pareto` and
-//! `run` subcommands; see `EXPERIMENTS.md` at the repository root.
+//! `--no-pipeline`, `--workers`), `resume`, `cache stats`/`cache migrate`,
+//! `pareto` and `run` subcommands; see `EXPERIMENTS.md` at the repository
+//! root.
 //!
 //! # Examples
 //!
@@ -111,7 +116,6 @@ mod checkpoint;
 mod dispatch;
 mod error;
 mod fault;
-mod lease;
 mod pareto;
 mod record;
 mod retry;
@@ -122,21 +126,18 @@ mod spec;
 
 pub use cache::{
     content_key, migrate_cache, BackendKind, BackendStats, CacheBackend, CacheStats, DirCache,
-    PackedSegmentCache, ShardedDirCache, SimCache,
+    PackedSegmentCache, ShardedDirCache,
 };
 pub use checkpoint::{
     spec_fingerprint, Checkpoint, CheckpointFailure, CheckpointHeader, ShardCheckpoint,
 };
-pub use dispatch::{
-    compute_shard_part, merge_shard_source, AdaptiveBackoff, ComputedPart, ShardSource,
-};
+pub use dispatch::{compute_shard_part, merge_shard_source, ComputedPart, ShardSource};
 pub use error::{ExploreError, Result};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyCache, FaultySink, PlannedFault};
-pub use lease::{join_sweep, CoexecManifest, JoinOutcome, LeaseConfig, LeaseGuard, LeaseLedger};
 pub use pareto::{dominates, pareto_front, Objective, ParetoRecord};
 pub use record::{
-    csv_escape, csv_row, read_json, read_jsonl, read_records, read_records_as, to_csv, write_csv,
-    write_json, write_jsonl, CsvRecord, SweepRecord, CSV_HEADER,
+    csv_escape, read_json, read_jsonl, read_records, read_records_as, to_csv, write_json,
+    write_jsonl, CsvRecord, SweepRecord, CSV_HEADER,
 };
 pub use retry::RetryPolicy;
 pub use runner::{

@@ -111,11 +111,12 @@ pub fn csv_escape(field: &str) -> std::borrow::Cow<'_, str> {
 }
 
 /// Renders one record as a CSV line (no trailing newline), matching
-/// [`CSV_HEADER`]'s columns. Shared by [`to_csv`] and the streaming CSV sink
-/// so batch and per-shard output stay byte-identical. Textual columns go
+/// [`CSV_HEADER`]'s columns. Shared by [`to_csv`] and
+/// [`CsvRecord::csv_line`] (the streaming CSV sink's renderer) so batch and
+/// per-shard output stay byte-identical. Textual columns go
 /// through [`csv_escape`], so a label containing a comma cannot shift the
 /// columns of every row after it.
-pub fn csv_row(r: &SweepRecord) -> String {
+fn csv_row(r: &SweepRecord) -> String {
     let p = &r.point;
     format!(
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -170,16 +171,6 @@ pub fn write_json(path: impl AsRef<Path>, records: &[SweepRecord]) -> Result<()>
 pub fn read_json(path: impl AsRef<Path>) -> Result<Vec<SweepRecord>> {
     let text = fs::read_to_string(&path).map_err(|e| ExploreError::io_at(&path, e))?;
     Ok(serde_json::from_str(&text)?)
-}
-
-/// Writes records to `path` as CSV.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn write_csv(path: impl AsRef<Path>, records: &[SweepRecord]) -> Result<()> {
-    fs::write(&path, to_csv(records)).map_err(|e| ExploreError::io_at(&path, e))?;
-    Ok(())
 }
 
 /// Writes records to `path` as JSON Lines (one compact record per line).

@@ -40,7 +40,6 @@ use std::path::PathBuf;
 use crate::cache::CacheBackend;
 use crate::checkpoint::{Checkpoint, CheckpointHeader};
 use crate::error::Result;
-use crate::lease::{execute_coexec, LeaseConfig, LeaseLedger};
 use crate::retry::RetryPolicy;
 use crate::runner::{
     effective_shard_size, execute, ArtifactBudget, ArtifactStore, ErrorPolicy, ShardProgress,
@@ -62,8 +61,6 @@ pub struct ExploreSession<'a> {
     sink: Option<&'a mut dyn RecordSink>,
     progress: Option<ProgressCallback<'a>>,
     checkpoint: Option<PathBuf>,
-    lease_dir: Option<PathBuf>,
-    lease: LeaseConfig,
     artifacts: Option<SharedArtifactStore>,
     artifact_budget: ArtifactBudget,
 }
@@ -81,8 +78,6 @@ impl<'a> ExploreSession<'a> {
             sink: None,
             progress: None,
             checkpoint: None,
-            lease_dir: None,
-            lease: LeaseConfig::default(),
             artifacts: None,
             artifact_budget: ArtifactBudget::default(),
         }
@@ -142,14 +137,6 @@ impl<'a> ExploreSession<'a> {
     #[must_use]
     pub fn keep_going(mut self) -> Self {
         self.options.error_policy = ErrorPolicy::KeepGoing;
-        self
-    }
-
-    /// Aborts on the first failing point (the default; see
-    /// [`ErrorPolicy::FailFast`]).
-    #[must_use]
-    pub fn fail_fast(mut self) -> Self {
-        self.options.error_policy = ErrorPolicy::FailFast;
         self
     }
 
@@ -220,35 +207,6 @@ impl<'a> ExploreSession<'a> {
         self
     }
 
-    /// Co-executes the sweep with other worker processes through a shared
-    /// lease directory (created if missing): shards are claimed via
-    /// create-exclusive lease files, published as atomically-renamed part
-    /// files, and merged — in shard order — into this session's sink by this
-    /// process, which acts as the *primary*. Additional processes attach with
-    /// [`join_sweep`](crate::join_sweep) (`simphony-cli join`); a worker that
-    /// dies mid-shard loses its lease after the
-    /// [`lease_config`](Self::lease_config) timeout and its shard is
-    /// re-claimed.
-    ///
-    /// Requires [`keep_going`](Self::keep_going): fail-fast across a fleet of
-    /// independent processes is ill-defined (a remote worker cannot abort the
-    /// primary's sink mid-merge), so [`run`](Self::run) refuses the
-    /// combination. Merged output is byte-identical to a single-process run
-    /// of the same spec.
-    #[must_use]
-    pub fn coexecute(mut self, lease_dir: impl Into<PathBuf>) -> Self {
-        self.lease_dir = Some(lease_dir.into());
-        self
-    }
-
-    /// Tunes the lease protocol ([`coexecute`](Self::coexecute)): stale-lease
-    /// timeout, poll interval, owner label.
-    #[must_use]
-    pub fn lease_config(mut self, config: LeaseConfig) -> Self {
-        self.lease = config;
-        self
-    }
-
     /// Runs the sweep, streaming records to the configured sink (or
     /// discarding them when none is set — the cache and checkpoint still see
     /// everything).
@@ -315,8 +273,6 @@ impl<'a> ExploreSession<'a> {
             sink: _,
             mut progress,
             checkpoint,
-            lease_dir,
-            lease,
             artifacts,
             artifact_budget,
         } = self;
@@ -346,19 +302,6 @@ impl<'a> ExploreSession<'a> {
                 f(shard);
             }
         };
-        if let Some(dir) = lease_dir {
-            let ledger = LeaseLedger::open(dir, lease)?;
-            return execute_coexec(
-                spec,
-                cache.as_deref(),
-                &options,
-                sink,
-                &mut callback,
-                checkpoint.as_mut(),
-                &ledger,
-                artifacts,
-            );
-        }
         execute(
             spec,
             cache.as_deref(),

@@ -1,18 +1,16 @@
 //! The distributed-sweep coordinator: fans shards out to socket-fed worker
 //! daemons and merges the results.
 //!
-//! `sweep --workers host:port,...` turns the lease protocol inside out: the
-//! shard geometry, the part payload and the strictly-ordered merge are
-//! identical to co-execution, but shards travel over the `compute-shard`
-//! request instead of a shared filesystem. The coordinator lazily expands
-//! the spec (only shard *ranges* go on the wire, never point lists), keeps
-//! one thread per worker address pumping a shared shard queue, and feeds the
-//! landed parts into the same [`merge_shard_source`] loop the co-execution
-//! primary uses — so output is byte-identical to a serial, pipelined or
-//! co-executed run at any worker count.
+//! `sweep --workers host:port,...` keeps the local executors' shard
+//! geometry, but shards travel over the `compute-shard` request and come
+//! back as parts (shard-local meta plus pre-rendered record lines). The
+//! coordinator lazily expands the spec (only shard *ranges* go on the wire,
+//! never point lists), keeps one thread per worker address pumping a shared
+//! shard queue, and feeds the landed parts into the [`merge_shard_source`]
+//! loop — so output is byte-identical to a serial or pipelined run at any
+//! worker count.
 //!
-//! Fault handling mirrors the lease ledger's, with deadlines instead of
-//! lease files:
+//! Fault handling uses deadlines:
 //!
 //! * a shard outstanding past [`DistConfig::shard_deadline_ms`] is
 //!   re-dispatched to whichever worker asks next (the original dispatch may
@@ -122,7 +120,7 @@ impl FleetState {
     }
 
     /// Blocks until there is a shard for this worker (queued, or outstanding
-    /// past its deadline — lease-style re-dispatch), or until the fleet is
+    /// past its deadline — re-dispatch), or until the fleet is
     /// finished/failed (`None`: the worker thread exits).
     fn take_shard(&self, deadline: Duration) -> Option<usize> {
         let mut fleet = self.lock();
@@ -269,7 +267,7 @@ enum ShardError {
 
 /// Parses a `compute-shard` response: the `part` frame's meta, then exactly
 /// `meta.emitted` record lines, then a terminal summary (exit 0 or 3 —
-/// recorded point failures are carried in the meta, like a part file).
+/// recorded point failures are carried in the meta).
 fn parse_part(
     addr: &str,
     shard: usize,
@@ -451,4 +449,260 @@ pub fn distribute_sweep(
         state.finish();
         outcome
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simphony_explore::{compute_shard_part, ArtifactStore, ComputedPart};
+
+    /// Long enough that no dispatch in these tests goes overdue on its own.
+    const PATIENT: Duration = Duration::from_secs(60);
+
+    fn meta(shard: usize, hits: usize) -> ShardCheckpoint {
+        ShardCheckpoint {
+            shard,
+            points: 0,
+            hits,
+            misses: 0,
+            emitted: 0,
+            failures: Vec::new(),
+            cache_degraded: 0,
+        }
+    }
+
+    fn next_part(state: &FleetState, shard: usize) -> Result<(ShardCheckpoint, Vec<SweepRecord>)> {
+        let workers = ["w0".to_string()];
+        let mut source = FleetSource {
+            state,
+            workers: &workers,
+        };
+        source.next_part(shard)
+    }
+
+    /// Shard 1 (points 2..4) of a 4-point sweep, computed locally.
+    fn computed_part() -> ComputedPart {
+        let spec = SweepSpec::new("parse").with_wavelengths(vec![1, 2, 4, 8]);
+        let artifacts = Mutex::new(ArtifactStore::default());
+        compute_shard_part(&spec, None, RetryPolicy::none(), 1, 2..4, &artifacts).unwrap()
+    }
+
+    /// The lines a worker streams back for `part`, as `Client::send` returns
+    /// them.
+    fn response(part: &ComputedPart) -> Vec<String> {
+        let meta_json = serde_json::to_string(&part.meta).unwrap();
+        let mut lines = vec![protocol::part_frame(&meta_json)];
+        lines.extend(part.body.lines().map(str::to_string));
+        lines.push(protocol::compute_shard_summary_frame(
+            part.meta.shard,
+            part.meta.emitted,
+            part.meta.failures.len(),
+        ));
+        lines
+    }
+
+    /// Asserts that parsing `lines` as shard `shard` fails with a transient
+    /// (re-dispatchable) error mentioning `needle`.
+    fn assert_transient(shard: usize, lines: Vec<String>, needle: &str) {
+        let Err(ShardError::Transient(e)) = parse_part("w0", shard, lines) else {
+            panic!("expected a transient error mentioning {needle:?}")
+        };
+        assert!(e.to_string().contains(needle), "{e}");
+    }
+
+    #[test]
+    fn each_queued_shard_is_handed_out_once_lowest_first() {
+        let state = FleetState::new(0..3, 1);
+        assert_eq!(state.take_shard(PATIENT), Some(0));
+        assert_eq!(state.take_shard(PATIENT), Some(1));
+        assert_eq!(state.take_shard(PATIENT), Some(2));
+    }
+
+    #[test]
+    fn a_requeued_shard_is_dispatched_before_later_ones() {
+        let state = FleetState::new(0..3, 2);
+        assert_eq!(state.take_shard(PATIENT), Some(0));
+        assert_eq!(state.take_shard(PATIENT), Some(1));
+        state.requeue(0);
+        assert_eq!(state.take_shard(PATIENT), Some(0));
+        assert_eq!(state.take_shard(PATIENT), Some(2));
+    }
+
+    #[test]
+    fn an_overdue_shard_is_redispatched() {
+        let state = FleetState::new(0..1, 2);
+        assert_eq!(state.take_shard(Duration::ZERO), Some(0));
+        // The first dispatch is already past its deadline, so the next
+        // asking worker gets the same shard.
+        assert_eq!(state.take_shard(PATIENT), Some(0));
+    }
+
+    #[test]
+    fn a_shard_inside_its_deadline_waits_for_its_part_instead_of_redispatching() {
+        let state = FleetState::new(0..1, 2);
+        assert_eq!(state.take_shard(PATIENT), Some(0));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| state.take_shard(PATIENT));
+            state.land(0, meta(0, 0), Vec::new());
+            // Landing the only outstanding shard leaves the second worker
+            // nothing to do.
+            assert_eq!(waiter.join().unwrap(), None);
+        });
+    }
+
+    #[test]
+    fn a_landed_part_blocks_redispatch_and_requeue() {
+        let state = FleetState::new(0..1, 2);
+        assert_eq!(state.take_shard(Duration::ZERO), Some(0));
+        state.land(0, meta(0, 0), Vec::new());
+        // A straggling dispatch of the same shard failing afterwards must
+        // not put the landed shard back on the queue.
+        state.requeue(0);
+        assert_eq!(state.take_shard(Duration::ZERO), None);
+    }
+
+    #[test]
+    fn concurrent_workers_split_the_queue_without_duplicates() {
+        let state = FleetState::new(0..64, 8);
+        let taken = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    while let Some(shard) = state.take_shard(PATIENT) {
+                        taken.lock().unwrap().push(shard);
+                        state.land(shard, meta(shard, 0), Vec::new());
+                    }
+                });
+            }
+        });
+        let mut taken = taken.into_inner().unwrap();
+        taken.sort_unstable();
+        assert_eq!(taken, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_duplicate_landing_keeps_the_first_part() {
+        let state = FleetState::new(0..1, 2);
+        state.land(0, meta(0, 1), Vec::new());
+        state.land(0, meta(0, 2), Vec::new());
+        let (landed, _) = next_part(&state, 0).unwrap();
+        assert_eq!(landed.hits, 1);
+    }
+
+    #[test]
+    fn late_parts_for_merged_shards_are_dropped() {
+        let state = FleetState::new(0..2, 2);
+        state.land(0, meta(0, 0), Vec::new());
+        next_part(&state, 0).unwrap();
+        state.land(0, meta(0, 0), Vec::new());
+        state.requeue(0);
+        let fleet = state.lock();
+        assert!(fleet.parts.is_empty(), "a merged shard's duplicate is kept");
+        assert_eq!(
+            fleet.queue,
+            BTreeSet::from([1]),
+            "a merged shard is requeued"
+        );
+    }
+
+    #[test]
+    fn the_last_worker_leaving_with_work_left_fails_the_sweep() {
+        let state = FleetState::new(0..1, 2);
+        let error = ExploreError::connection_lost("w1", "refused");
+        state.worker_gone("w1", &error);
+        assert!(state.lock().failed.is_none(), "one worker is still live");
+        state.worker_gone("w0", &error);
+        let err = next_part(&state, 0).unwrap_err();
+        assert!(matches!(err, ExploreError::ConnectionLost { .. }), "{err}");
+        assert!(err.to_string().contains("every worker is gone"), "{err}");
+        assert!(err.to_string().contains("`w0`"), "{err}");
+    }
+
+    #[test]
+    fn workers_leaving_after_every_part_landed_fail_nothing() {
+        let state = FleetState::new(0..2, 2);
+        state.land(0, meta(0, 0), Vec::new());
+        state.land(1, meta(1, 0), Vec::new());
+        let error = ExploreError::connection_lost("w", "closed");
+        state.worker_gone("w0", &error);
+        state.worker_gone("w1", &error);
+        assert_eq!(next_part(&state, 0).unwrap().0.shard, 0);
+        assert_eq!(next_part(&state, 1).unwrap().0.shard, 1);
+    }
+
+    #[test]
+    fn a_failed_fleet_hands_out_nothing_and_keeps_its_first_reason() {
+        let state = FleetState::new(0..2, 1);
+        state.fail("first reason".to_string());
+        state.fail("second reason".to_string());
+        assert_eq!(state.take_shard(PATIENT), None);
+        let err = next_part(&state, 0).unwrap_err();
+        assert!(err.to_string().contains("first reason"), "{err}");
+    }
+
+    #[test]
+    fn finishing_releases_a_worker_waiting_on_an_outstanding_shard() {
+        let state = FleetState::new(0..1, 2);
+        assert_eq!(state.take_shard(PATIENT), Some(0));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| state.take_shard(PATIENT));
+            state.finish();
+            assert_eq!(waiter.join().unwrap(), None);
+        });
+    }
+
+    #[test]
+    fn parse_part_reads_a_well_formed_response() {
+        let part = computed_part();
+        let (meta, records) = parse_part("w0", 1, response(&part)).unwrap_or_else(|_| {
+            panic!("a well-formed response parses");
+        });
+        assert_eq!(meta, part.meta);
+        assert_eq!(records.len(), 2);
+        let rendered: String = records
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .collect();
+        assert_eq!(rendered, part.body, "record lines must round-trip exactly");
+    }
+
+    #[test]
+    fn parse_part_makes_usage_errors_fatal_and_other_errors_transient() {
+        let usage = vec![protocol::error_frame(
+            protocol::EXIT_USAGE,
+            "too many points",
+        )];
+        match parse_part("w0", 3, usage) {
+            Err(ShardError::Fatal(message)) => {
+                assert!(message.contains("rejected shard 3"), "{message}");
+                assert!(message.contains("too many points"), "{message}");
+            }
+            _ => panic!("a usage rejection must be fatal"),
+        }
+        let hard = vec![protocol::error_frame(protocol::EXIT_HARD, "disk full")];
+        assert_transient(3, hard, "disk full");
+    }
+
+    #[test]
+    fn parse_part_rejects_a_part_for_the_wrong_shard() {
+        let part = computed_part();
+        assert_transient(0, response(&part), "answered shard 0 with shard 1");
+    }
+
+    #[test]
+    fn parse_part_rejects_truncated_and_malformed_bodies() {
+        let part = computed_part();
+        assert_transient(1, Vec::new(), "empty compute-shard response");
+
+        let summary_only = vec![response(&part).pop().unwrap()];
+        assert_transient(1, summary_only, "no part frame");
+
+        let mut short = response(&part);
+        short.remove(1);
+        assert_transient(1, short, "streamed 1 records but its meta promises 2");
+
+        let mut garbled = response(&part);
+        garbled[1] = "{\"not\":\"a record\"}".to_string();
+        assert_transient(1, garbled, "bad record line in shard 1");
+    }
 }

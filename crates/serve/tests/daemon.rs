@@ -436,6 +436,28 @@ fn malformed_requests_are_usage_errors_and_do_not_kill_the_connection() {
 }
 
 #[test]
+fn deeply_nested_request_is_an_error_frame_not_a_crash() {
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+
+    // A recursive parser without a depth cap overflows the connection
+    // thread's stack on this line, which aborts the whole daemon.
+    let nested = "[".repeat(100_000);
+    let lines = request(&addr, &nested, TIMEOUT).expect("round-trip");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"frame\":\"error\""), "{}", lines[0]);
+    assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2);
+    assert!(lines[0].contains("recursion limit"), "{}", lines[0]);
+
+    // A fresh connection still gets its ping answered.
+    let lines = request(&addr, "{\"kind\":\"ping\"}", TIMEOUT).expect("ping round-trips");
+    assert!(lines[0].starts_with("{\"frame\":\"pong\""), "{lines:?}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn shutdown_request_drains_the_daemon() {
     let server = Server::start(ephemeral_config(), None).expect("server starts");
     let addr = server.local_addr().to_string();

@@ -1,7 +1,7 @@
 //! Distributed-sweep tests: byte-identity with the local executors at any
 //! worker count, the `compute-shard` wire framing, worker-death recovery,
-//! fatal-vs-transient fleet errors, and the client's transparent reconnect
-//! contract.
+//! checkpoint resume, fatal-vs-transient fleet errors, and the client's
+//! transparent reconnect contract.
 
 use std::io::Read as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -11,7 +11,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use simphony_explore::{
-    ExploreError, ExploreSession, JsonlSink, RetryPolicy, StreamOptions, SweepSpec, VecSink,
+    Checkpoint, CheckpointHeader, ExploreError, ExploreSession, JsonlSink, RecordSink, RetryPolicy,
+    StreamOptions, SweepRecord, SweepSpec, VecSink,
 };
 use simphony_serve::{distribute_sweep, request, Client, DistConfig, ServeConfig, Server};
 
@@ -210,6 +211,118 @@ fn killing_a_worker_mid_sweep_recovers_with_byte_identical_output() {
 
     survivor.shutdown();
     survivor.join();
+}
+
+/// A JSONL sink whose coordinator "crashes" once `accepts_left` records
+/// have been accepted: the next `accept` fails before writing anything.
+struct DyingSink {
+    inner: JsonlSink,
+    accepts_left: usize,
+}
+
+impl RecordSink for DyingSink {
+    fn accept(&mut self, record: SweepRecord) -> simphony_explore::Result<()> {
+        if self.accepts_left == 0 {
+            return Err(ExploreError::cache("simulated coordinator crash"));
+        }
+        self.accepts_left -= 1;
+        self.inner.accept(record)
+    }
+
+    fn flush_shard(&mut self) -> simphony_explore::Result<()> {
+        self.inner.flush_shard()
+    }
+
+    fn sync(&mut self) -> simphony_explore::Result<()> {
+        self.inner.sync()
+    }
+
+    fn finish(&mut self) -> simphony_explore::Result<()> {
+        self.inner.finish()
+    }
+}
+
+#[test]
+fn a_checkpointed_fleet_sweep_resumes_without_recomputing() {
+    let dir = scratch_dir("checkpoint");
+    let spec = fleet_spec();
+    let oracle = jsonl_oracle(&spec, &dir);
+
+    let workers: Vec<Server> = (0..2).map(|_| start_worker()).collect();
+    let config = fleet_config(&workers);
+    let options = StreamOptions::chunked(5).keep_going();
+    let header = CheckpointHeader::for_sweep(&spec, &options, 24);
+    let ckpt = dir.join("sweep.ckpt");
+    let path = dir.join("out.jsonl");
+
+    // The coordinator dies on the first record of shard 2, so the checkpoint
+    // records exactly shards 0 and 1 and the JSONL holds their 10 records.
+    let mut checkpoint = Checkpoint::resume(&ckpt, &header).expect("checkpoint opens");
+    let mut sink = DyingSink {
+        inner: JsonlSink::create(&path).expect("sink creates"),
+        accepts_left: 10,
+    };
+    distribute_sweep(
+        &spec,
+        &options,
+        &config,
+        &mut sink,
+        &mut |_| {},
+        Some(&mut checkpoint),
+    )
+    .expect_err("the dying sink interrupts the sweep");
+    drop(sink);
+    drop(checkpoint);
+    let (_, completed) = Checkpoint::load(&ckpt).expect("checkpoint loads");
+    assert_eq!(completed.len(), 2, "first shards recorded");
+
+    // Resuming skips the recorded shards and finishes byte-identical to the
+    // serial run.
+    let mut checkpoint = Checkpoint::resume(&ckpt, &header).expect("checkpoint resumes");
+    let mut sink = JsonlSink::append(&path).expect("sink appends");
+    let outcome = distribute_sweep(
+        &spec,
+        &options,
+        &config,
+        &mut sink,
+        &mut |_| {},
+        Some(&mut checkpoint),
+    )
+    .expect("resumed sweep runs");
+    drop(sink);
+    assert_eq!(outcome.skipped_points, 10);
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("output reads"),
+        oracle,
+        "resumed fleet sweep diverged from the serial bytes"
+    );
+
+    // A fully recorded checkpoint replays everything: nothing is dispatched
+    // and nothing is appended.
+    let mut checkpoint = Checkpoint::resume(&ckpt, &header).expect("checkpoint resumes");
+    let mut sink = JsonlSink::append(&path).expect("sink appends");
+    let outcome = distribute_sweep(
+        &spec,
+        &options,
+        &config,
+        &mut sink,
+        &mut |_| {},
+        Some(&mut checkpoint),
+    )
+    .expect("fully checkpointed sweep replays");
+    drop(sink);
+    assert_eq!(outcome.skipped_points, outcome.total_points);
+    assert_eq!(outcome.stats.hits + outcome.stats.misses, 0);
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("output reads"),
+        oracle,
+        "a replayed fleet sweep must append nothing"
+    );
+
+    for worker in workers {
+        worker.shutdown();
+        worker.join();
+    }
 }
 
 #[test]
